@@ -2,8 +2,8 @@ package cacheuniformity
 
 import (
 	"context"
-
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +32,7 @@ func goldenCfg() core.Config {
 // the RNG shows up here first — if the change is intended, refresh with
 // -update and review the diff like any other code change.
 func TestGoldenFigures(t *testing.T) {
-	for _, id := range []int{1, 4, 6, 7, 8, 13} {
+	for _, id := range []int{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14} {
 		id := id
 		t.Run(filepath.Base(goldenPath(id)), func(t *testing.T) {
 			t.Parallel()
@@ -75,20 +75,5 @@ func goldenPath(id int) string {
 }
 
 func figFileName(id int) string {
-	switch id {
-	case 1:
-		return "fig01.txt"
-	case 4:
-		return "fig04.txt"
-	case 6:
-		return "fig06.txt"
-	case 7:
-		return "fig07.txt"
-	case 8:
-		return "fig08.txt"
-	case 13:
-		return "fig13.txt"
-	default:
-		return "unknown.txt"
-	}
+	return fmt.Sprintf("fig%02d.txt", id)
 }
