@@ -15,10 +15,11 @@ GRID_ALLOC_BUDGET ?= 200000
 
 # Throughput floor for the compiled-trace fan-out engine, in SIMULATED
 # accesses per second (trace length x benchmarks x schemes per op; see
-# BenchmarkGridFanout).  10M/s is ~3x below the single-core steady state,
-# so it trips on a real regression (a per-access allocation, a decode
-# slowdown, a lost fan-out), not on scheduler noise.
-GRID_MIN_ACCESS_RATE ?= 10000000
+# BenchmarkGridFanout).  12M/s is ~3x below the steady state (about 39M/s
+# on 2 vCPUs since the direct-mapped step lost its replacement-policy
+# call), so it trips on a real regression (a per-access allocation, a
+# decode slowdown, a lost fan-out), not on scheduler noise.
+GRID_MIN_ACCESS_RATE ?= 12000000
 
 all: build
 
@@ -151,11 +152,15 @@ soak-store:
 # allocation gate and the compiled-replay throughput floor; fails if the
 # engine ever allocates per-access or drops below the accesses/s floor
 # (the single cold iteration pays trace compilation, so the floor's 3x
-# headroom absorbs it).
+# headroom absorbs it).  The batched cache step (BenchmarkCacheAccessBatch:
+# direct-mapped modulo and xor, 8-way LRU) must not allocate at all.
 allocs-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkGridFanout$$' -benchtime 1x -benchmem . \
+	$(GO) test -run '^$$' -bench 'Benchmark(GridFanout|CacheAccessBatch)$$' -benchtime 1x -benchmem . \
 		| $(GO) run ./cmd/benchjson \
 			-maxallocs BenchmarkGridFanout=$(GRID_ALLOC_BUDGET) \
+			-maxallocs BenchmarkCacheAccessBatch/direct_mapped=0 \
+			-maxallocs BenchmarkCacheAccessBatch/xor=0 \
+			-maxallocs BenchmarkCacheAccessBatch/eight_way_lru=0 \
 			-minmetric BenchmarkGridFanout:accesses/s=$(GRID_MIN_ACCESS_RATE)
 
 # The gate a PR must pass: compile everything, vet, run the invariant

@@ -333,6 +333,43 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccessBatch measures the batched step the grid engine
+// actually runs (BenchmarkCacheAccess times only the per-access Access):
+// one op replays one trace.DefaultBatch slice through AccessBatch, and
+// ns/access divides that by the batch length.  `make allocs-gate` holds
+// every case at zero allocations per op.
+func BenchmarkCacheAccessBatch(b *testing.B) {
+	tr := workload.MustLookup("dijkstra").Generate(1, 64*trace.DefaultBatch)
+	models := []struct {
+		name  string
+		build func() *cache.Cache
+	}{
+		{"direct_mapped", func() *cache.Cache {
+			return mustCache(cache.Config{Layout: paperLayout, Ways: 1, WriteAllocate: true})
+		}},
+		{"xor", func() *cache.Cache {
+			return mustCache(cache.Config{Layout: paperLayout, Ways: 1, Index: indexing.NewXOR(paperLayout), WriteAllocate: true})
+		}},
+		{"eight_way_lru", func() *cache.Cache {
+			return mustCache(cache.Config{Layout: addr.MustLayout(32, 128, 32), Ways: 8, WriteAllocate: true})
+		}},
+	}
+	batches := len(tr) / trace.DefaultBatch
+	for _, m := range models {
+		m := m
+		b.Run(m.name, func(b *testing.B) {
+			model := m.build()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := (i % batches) * trace.DefaultBatch
+				model.AccessBatch(tr[lo : lo+trace.DefaultBatch])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/trace.DefaultBatch, "ns/access")
+		})
+	}
+}
+
 // BenchmarkIndexFunc measures the pure index computations.
 func BenchmarkIndexFunc(b *testing.B) {
 	tr := workload.MustLookup("fft").Generate(1, 65_536)

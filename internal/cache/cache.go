@@ -51,7 +51,11 @@ type Cache struct {
 	noAlloc      bool
 	writeThrough bool
 
-	lines    [][]Line // [set][way]
+	// lines is one flat slab: set s owns lines[s*ways : (s+1)*ways].
+	lines []Line
+	// replSets is one replacement state per set, or nil when the cache is
+	// direct mapped: a single way leaves no replacement decision, so
+	// direct-mapped caches take the policy-free dmStep instead.
 	replSets []SetPolicy
 
 	counters Counters
@@ -102,14 +106,20 @@ func New(cfg Config) (*Cache, error) {
 
 func (c *Cache) alloc() {
 	sets := c.layout.Sets()
-	c.lines = make([][]Line, sets)
-	c.replSets = make([]SetPolicy, sets)
-	storage := make([]Line, sets*c.ways)
-	for s := 0; s < sets; s++ {
-		c.lines[s], storage = storage[:c.ways:c.ways], storage[c.ways:]
+	c.lines = make([]Line, sets*c.ways)
+	if c.ways > 1 {
+		c.replSets = make([]SetPolicy, sets)
+	}
+	c.newReplacement()
+	c.perSet = NewPerSet(sets)
+}
+
+// newReplacement gives every set fresh replacement state (a direct-mapped
+// cache has none to give).
+func (c *Cache) newReplacement() {
+	for s := range c.replSets {
 		c.replSets[s] = c.policy.NewSet(c.ways)
 	}
-	c.perSet = NewPerSet(sets)
 }
 
 // Name implements Model.
@@ -130,12 +140,8 @@ func (c *Cache) Index() indexing.Func { return c.index }
 
 // Reset implements Model.
 func (c *Cache) Reset() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			c.lines[s][w] = Line{}
-		}
-		c.replSets[s] = c.policy.NewSet(c.ways)
-	}
+	clear(c.lines)
+	c.newReplacement()
 	c.counters = Counters{}
 	c.perSet.Reset()
 }
@@ -148,41 +154,96 @@ func (c *Cache) PerSet() PerSet { return c.perSet.Clone() }
 
 // Access implements Model.
 func (c *Cache) Access(a trace.Access) AccessResult {
-	set := c.index.Index(a.Addr)
-	block := c.layout.Block(a.Addr)
-	res := c.accessSet(set, block, a.Kind == trace.Write)
+	return c.AccessSet(c.index.Index(a.Addr), a)
+}
+
+// AccessSet performs one access in a set the caller chose instead of the
+// cache's index function, with Access's bookkeeping.  It is the seam for
+// shared caches whose placement depends on more than the address (a
+// per-thread index function, a thread's partition); set must lie in
+// [0, Sets()).
+func (c *Cache) AccessSet(set int, a trace.Access) AccessResult {
+	if c.ways == 1 {
+		hit, victim := c.StepSet(set, a)
+		return dmResult(hit, victim, a.Kind == trace.Write && c.writeThrough)
+	}
+	res := c.accessSet(set, c.layout.Block(a.Addr), a.Kind == trace.Write)
 	c.counters.Add(res)
-	c.perSet.Accesses[set]++
-	if res.Hit {
-		c.perSet.Hits[set]++
-	} else {
-		c.perSet.Misses[set]++
+	c.perSet.record(set, res.Hit)
+	return res
+}
+
+// StepSet is AccessSet for a direct-mapped cache without materialising
+// an AccessResult: it takes the direct-mapped step in set, records it in
+// the counters, and returns whether the access hit and the line a fill
+// displaced (see Counters.AddStep).  The cache must have one way.
+func (c *Cache) StepSet(set int, a trace.Access) (hit bool, victim Line) {
+	hit, victim = c.dmStep(&c.lines[set], c.layout.Block(a.Addr), a.Kind == trace.Write)
+	c.counters.AddStep(hit, victim)
+	c.perSet.record(set, hit)
+	return hit, victim
+}
+
+// AccessBatch implements BatchAccessor: the same bookkeeping as Access,
+// but over a whole batch through concrete (devirtualised) calls.  A
+// direct-mapped cache takes dmStep per access with the aggregate counters
+// held in a local until the batch ends.
+//
+//lint:hotpath per-access work in the replay inner loop
+func (c *Cache) AccessBatch(batch []trace.Access) {
+	if c.ways != 1 {
+		for _, a := range batch {
+			c.AccessSet(c.index.Index(a.Addr), a)
+		}
+		return
+	}
+	ctr := c.counters
+	for _, a := range batch {
+		set := c.index.Index(a.Addr)
+		hit, victim := c.dmStep(&c.lines[set], c.layout.Block(a.Addr), a.Kind == trace.Write)
+		ctr.AddStep(hit, victim)
+		c.perSet.record(set, hit)
+	}
+	c.counters = ctr
+}
+
+// dmStep is the direct-mapped lookup/fill on ln, the set's only line: a
+// miss always replaces it, so no replacement policy is consulted.  It
+// reports whether the access hit and returns the line a fill displaced
+// (valid only when a resident block was evicted).  A store to a
+// write-no-allocate cache that misses leaves the line alone.
+func (c *Cache) dmStep(ln *Line, block uint64, store bool) (hit bool, victim Line) {
+	dirty := store && !c.writeThrough
+	if ln.Valid && ln.Block == block {
+		ln.Dirty = ln.Dirty || dirty
+		return true, Line{}
+	}
+	if store && c.noAlloc {
+		return false, Line{} // write-no-allocate: the store passes down the hierarchy
+	}
+	victim = *ln
+	*ln = Line{Valid: true, Block: block, Dirty: dirty}
+	return false, victim
+}
+
+// dmResult expands a dmStep outcome into Access's result.
+func dmResult(hit bool, victim Line, wroteThrough bool) AccessResult {
+	res := AccessResult{Hit: hit, WroteThrough: wroteThrough}
+	if hit {
+		res.HitCycles = 1
+	}
+	if victim.Valid {
+		res.Evicted = true
+		res.EvictedBlock = victim.Block
+		res.Writeback = victim.Dirty
 	}
 	return res
 }
 
-// AccessBatch implements BatchAccessor: the same bookkeeping as Access,
-// but over a whole batch through concrete (devirtualised) calls.
-//
-//lint:hotpath per-access work in the replay inner loop
-func (c *Cache) AccessBatch(batch []trace.Access) {
-	for _, a := range batch {
-		set := c.index.Index(a.Addr)
-		block := c.layout.Block(a.Addr)
-		res := c.accessSet(set, block, a.Kind == trace.Write)
-		c.counters.Add(res)
-		c.perSet.Accesses[set]++
-		if res.Hit {
-			c.perSet.Hits[set]++
-		} else {
-			c.perSet.Misses[set]++
-		}
-	}
-}
-
-// accessSet performs the lookup/fill within one set.
+// accessSet performs the lookup/fill within one set of a set-associative
+// cache.
 func (c *Cache) accessSet(set int, block uint64, store bool) AccessResult {
-	lines := c.lines[set]
+	lines := c.setLines(set)
 	repl := c.replSets[set]
 	for w := range lines {
 		if lines[w].Valid && lines[w].Block == block {
@@ -224,12 +285,18 @@ func (c *Cache) accessSet(set int, block uint64, store bool) AccessResult {
 	return res
 }
 
+// setLines returns set's ways within the flat slab.
+func (c *Cache) setLines(set int) []Line {
+	lo := set * c.ways
+	return c.lines[lo : lo+c.ways : lo+c.ways]
+}
+
 // Lookup reports whether the block containing a is resident, without
 // touching replacement state or counters (a probe, not an access).
 func (c *Cache) Lookup(a addr.Addr) bool {
 	set := c.index.Index(a)
 	block := c.layout.Block(a)
-	for _, ln := range c.lines[set] {
+	for _, ln := range c.setLines(set) {
 		if ln.Valid && ln.Block == block {
 			return true
 		}
@@ -239,17 +306,11 @@ func (c *Cache) Lookup(a addr.Addr) bool {
 
 // Utilization returns the fraction of lines currently valid.
 func (c *Cache) Utilization() float64 {
-	total, valid := 0, 0
-	for _, set := range c.lines {
-		for _, ln := range set {
-			total++
-			if ln.Valid {
-				valid++
-			}
+	valid := 0
+	for _, ln := range c.lines {
+		if ln.Valid {
+			valid++
 		}
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(valid) / float64(total)
+	return float64(valid) / float64(len(c.lines))
 }

@@ -90,6 +90,25 @@ func (c *Counters) Add(r AccessResult) {
 	}
 }
 
+// AddStep records a direct-mapped step's outcome (see Cache.StepSet):
+// the same counts Add takes from the equivalent AccessResult, where every
+// hit is a primary hit and victim.Valid marks an eviction.
+func (c *Counters) AddStep(hit bool, victim Line) {
+	c.Accesses++
+	if hit {
+		c.Hits++
+		c.PrimaryHits++
+	} else {
+		c.Misses++
+	}
+	if victim.Valid {
+		c.Evictions++
+		if victim.Dirty {
+			c.Writebacks++
+		}
+	}
+}
+
 // PerSet snapshots per-set activity; index is the set number.  Hits are
 // attributed to the set that supplied the data, misses to the primary set
 // of the missing address.
@@ -105,6 +124,16 @@ func NewPerSet(n int) PerSet {
 		Accesses: make([]uint64, n),
 		Hits:     make([]uint64, n),
 		Misses:   make([]uint64, n),
+	}
+}
+
+// record counts one access to set and its outcome.
+func (p *PerSet) record(set int, hit bool) {
+	p.Accesses[set]++
+	if hit {
+		p.Hits[set]++
+	} else {
+		p.Misses[set]++
 	}
 }
 

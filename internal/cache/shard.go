@@ -179,7 +179,7 @@ func (c *Cache) StitchSegment(s *DMScratch) {
 		c.perSet.Hits[set] += s.perSet.Hits[set]
 		c.perSet.Misses[set] += s.perSet.Misses[set]
 
-		prior := c.lines[set][0]
+		prior := c.lines[set]
 		carried := false
 		if prior.Valid && prior.Block == s.firstBlock[set] {
 			c.counters.Hits++
@@ -206,6 +206,6 @@ func (c *Cache) StitchSegment(s *DMScratch) {
 		if carried && s.curIsRes0[set] {
 			final.Dirty = true
 		}
-		c.lines[set][0] = final
+		c.lines[set] = final
 	}
 }

@@ -21,6 +21,54 @@ import (
 	"cacheuniformity/internal/trace"
 )
 
+// sharedDM is the direct-mapped store behind both shared caches: a
+// cache.Cache holding the lines and the aggregate and per-set counters,
+// plus the per-thread counters.  The embedding cache picks each access's
+// set; sharedDM takes the direct-mapped step there.
+type sharedDM struct {
+	dm        *cache.Cache
+	perThread *ThreadCounters
+}
+
+func newSharedDM(l addr.Layout) (sharedDM, error) {
+	dm, err := cache.New(cache.Config{Layout: l, Ways: 1, WriteAllocate: true})
+	if err != nil {
+		return sharedDM{}, err
+	}
+	return sharedDM{dm: dm, perThread: newThreadCounters()}, nil
+}
+
+// access is Access at the chosen set.
+func (d sharedDM) access(set int, a trace.Access) cache.AccessResult {
+	res := d.dm.AccessSet(set, a)
+	d.perThread.add(a.Thread, res)
+	return res
+}
+
+// step is access without the AccessResult, for the batch loops.
+func (d sharedDM) step(set int, a trace.Access) {
+	hit, victim := d.dm.StepSet(set, a)
+	d.perThread.counts[a.Thread].AddStep(hit, victim)
+}
+
+// Sets implements cache.Model.
+func (d sharedDM) Sets() int { return d.dm.Sets() }
+
+// Reset implements cache.Model.
+func (d sharedDM) Reset() {
+	d.dm.Reset()
+	d.perThread.reset()
+}
+
+// PerThread exposes the per-hardware-thread counters.
+func (d sharedDM) PerThread() *ThreadCounters { return d.perThread }
+
+// Counters implements cache.Model.
+func (d sharedDM) Counters() cache.Counters { return d.dm.Counters() }
+
+// PerSet implements cache.Model.
+func (d sharedDM) PerSet() cache.PerSet { return d.dm.PerSet() }
+
 // SharedIndexCache is a direct-mapped cache shared by several hardware
 // threads, where each thread uses its own index function — the paper's
 // "multiple indexing schemes within a single cache system" (Figure 5,
@@ -30,16 +78,11 @@ import (
 // only ever looked up under its owner's mapping; the full block-address
 // tag keeps correctness even if mappings disagree.
 type SharedIndexCache struct {
-	name   string
-	layout addr.Layout
+	sharedDM
+	name string
 	// funcs[i] is the index function for thread i; threads beyond the
 	// slice use funcs[0].
 	funcs []indexing.Func
-	lines []cache.Line
-
-	counters  cache.Counters
-	perSet    cache.PerSet
-	perThread *ThreadCounters
 }
 
 // NewSharedIndexCache builds the shared cache.  funcs must be non-empty;
@@ -58,77 +101,27 @@ func NewSharedIndexCache(l addr.Layout, funcs []indexing.Func) (*SharedIndexCach
 		}
 		name += "/" + f.Name()
 	}
-	s := &SharedIndexCache{name: name, layout: l, funcs: funcs}
-	s.Reset()
-	return s, nil
+	d, err := newSharedDM(l)
+	if err != nil {
+		return nil, err
+	}
+	return &SharedIndexCache{sharedDM: d, name: name, funcs: funcs}, nil
 }
 
 // Name implements cache.Model.
 func (s *SharedIndexCache) Name() string { return s.name }
 
-// Sets implements cache.Model.
-func (s *SharedIndexCache) Sets() int { return s.layout.Sets() }
-
-// Reset implements cache.Model.
-func (s *SharedIndexCache) Reset() {
-	s.lines = make([]cache.Line, s.layout.Sets())
-	s.counters = cache.Counters{}
-	s.perSet = cache.NewPerSet(s.layout.Sets())
-	if s.perThread == nil {
-		s.perThread = newThreadCounters()
-	} else {
-		s.perThread.reset()
+// setFor places an access with its thread's index function.
+func (s *SharedIndexCache) setFor(a trace.Access) int {
+	if int(a.Thread) < len(s.funcs) {
+		return s.funcs[a.Thread].Index(a.Addr)
 	}
-}
-
-// PerThread exposes the per-hardware-thread counters.
-func (s *SharedIndexCache) PerThread() *ThreadCounters { return s.perThread }
-
-// Counters implements cache.Model.
-func (s *SharedIndexCache) Counters() cache.Counters { return s.counters }
-
-// PerSet implements cache.Model.
-func (s *SharedIndexCache) PerSet() cache.PerSet { return s.perSet.Clone() }
-
-// funcFor selects the thread's index function.
-func (s *SharedIndexCache) funcFor(thread uint8) indexing.Func {
-	if int(thread) < len(s.funcs) {
-		return s.funcs[thread]
-	}
-	return s.funcs[0]
+	return s.funcs[0].Index(a.Addr)
 }
 
 // Access implements cache.Model.
 func (s *SharedIndexCache) Access(a trace.Access) cache.AccessResult {
-	set := s.funcFor(a.Thread).Index(a.Addr)
-	block := s.layout.Block(a.Addr)
-	store := a.Kind == trace.Write
-
-	res := cache.AccessResult{}
-	ln := &s.lines[set]
-	if ln.Valid && ln.Block == block {
-		res = cache.AccessResult{Hit: true, HitCycles: 1}
-		if store {
-			ln.Dirty = true
-		}
-	} else {
-		if ln.Valid {
-			res.Evicted = true
-			res.EvictedBlock = ln.Block
-			res.Writeback = ln.Dirty
-		}
-		*ln = cache.Line{Valid: true, Block: block, Dirty: store}
-	}
-
-	s.counters.Add(res)
-	s.perThread.add(a.Thread, res)
-	s.perSet.Accesses[set]++
-	if res.Hit {
-		s.perSet.Hits[set]++
-	} else {
-		s.perSet.Misses[set]++
-	}
-	return res
+	return s.access(s.setFor(a), a)
 }
 
 // AccessBatch implements cache.BatchAccessor.
@@ -136,7 +129,7 @@ func (s *SharedIndexCache) Access(a trace.Access) cache.AccessResult {
 //lint:hotpath SMT replay inner loop
 func (s *SharedIndexCache) AccessBatch(batch []trace.Access) {
 	for _, a := range batch {
-		s.Access(a)
+		s.step(s.setFor(a), a)
 	}
 }
 
@@ -145,14 +138,10 @@ func (s *SharedIndexCache) AccessBatch(batch []trace.Access) {
 // the paper's baseline for Figure 14 ("we divided the cache equally among
 // the two threads") — thread isolation without adaptivity.
 type PartitionedCache struct {
+	sharedDM
 	name    string
 	layout  addr.Layout
 	threads int
-	lines   []cache.Line
-
-	counters  cache.Counters
-	perSet    cache.PerSet
-	perThread *ThreadCounters
 }
 
 // NewPartitionedCache splits the layout's sets among threads partitions.
@@ -161,41 +150,20 @@ func NewPartitionedCache(l addr.Layout, threads int) (*PartitionedCache, error) 
 	if threads <= 0 || l.Sets()%threads != 0 {
 		return nil, fmt.Errorf("smt: %d threads must evenly divide %d sets", threads, l.Sets())
 	}
-	p := &PartitionedCache{
-		name:    fmt.Sprintf("partitioned/%d", threads),
-		layout:  l,
-		threads: threads,
+	d, err := newSharedDM(l)
+	if err != nil {
+		return nil, err
 	}
-	p.Reset()
-	return p, nil
+	return &PartitionedCache{
+		sharedDM: d,
+		name:     fmt.Sprintf("partitioned/%d", threads),
+		layout:   l,
+		threads:  threads,
+	}, nil
 }
 
 // Name implements cache.Model.
 func (p *PartitionedCache) Name() string { return p.name }
-
-// Sets implements cache.Model.
-func (p *PartitionedCache) Sets() int { return p.layout.Sets() }
-
-// Reset implements cache.Model.
-func (p *PartitionedCache) Reset() {
-	p.lines = make([]cache.Line, p.layout.Sets())
-	p.counters = cache.Counters{}
-	p.perSet = cache.NewPerSet(p.layout.Sets())
-	if p.perThread == nil {
-		p.perThread = newThreadCounters()
-	} else {
-		p.perThread.reset()
-	}
-}
-
-// PerThread exposes the per-hardware-thread counters.
-func (p *PartitionedCache) PerThread() *ThreadCounters { return p.perThread }
-
-// Counters implements cache.Model.
-func (p *PartitionedCache) Counters() cache.Counters { return p.counters }
-
-// PerSet implements cache.Model.
-func (p *PartitionedCache) PerSet() cache.PerSet { return p.perSet.Clone() }
 
 // SetFor returns the partitioned placement for an access: the conventional
 // index folded into the thread's partition.
@@ -207,35 +175,7 @@ func (p *PartitionedCache) SetFor(a trace.Access) int {
 
 // Access implements cache.Model.
 func (p *PartitionedCache) Access(a trace.Access) cache.AccessResult {
-	set := p.SetFor(a)
-	block := p.layout.Block(a.Addr)
-	store := a.Kind == trace.Write
-
-	res := cache.AccessResult{}
-	ln := &p.lines[set]
-	if ln.Valid && ln.Block == block {
-		res = cache.AccessResult{Hit: true, HitCycles: 1}
-		if store {
-			ln.Dirty = true
-		}
-	} else {
-		if ln.Valid {
-			res.Evicted = true
-			res.EvictedBlock = ln.Block
-			res.Writeback = ln.Dirty
-		}
-		*ln = cache.Line{Valid: true, Block: block, Dirty: store}
-	}
-
-	p.counters.Add(res)
-	p.perThread.add(a.Thread, res)
-	p.perSet.Accesses[set]++
-	if res.Hit {
-		p.perSet.Hits[set]++
-	} else {
-		p.perSet.Misses[set]++
-	}
-	return res
+	return p.access(p.SetFor(a), a)
 }
 
 // AccessBatch implements cache.BatchAccessor.
@@ -243,7 +183,7 @@ func (p *PartitionedCache) Access(a trace.Access) cache.AccessResult {
 //lint:hotpath SMT replay inner loop
 func (p *PartitionedCache) AccessBatch(batch []trace.Access) {
 	for _, a := range batch {
-		p.Access(a)
+		p.step(p.SetFor(a), a)
 	}
 }
 
